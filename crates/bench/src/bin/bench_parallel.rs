@@ -84,14 +84,16 @@ struct Report {
 }
 
 /// One measured configuration: wall-clock, estimate, and the full
-/// counter set (memo-cache, solver effort, warm-cache tiers).
+/// counter set (memo-cache, solver effort, warm-cache tiers). The
+/// `(exact hits, seeded)` counts of the config's warm tier are read by
+/// `warm_tiers` once the run has finished.
 fn run_bench<B: Testbench>(
     name: &str,
     mut cfg: EcripseConfig,
     threads: usize,
     adaptive: bool,
     bench: B,
-    warm: (u64, u64),
+    warm_tiers: impl FnOnce() -> (u64, u64),
 ) -> ConfigReport {
     cfg.threads = threads;
     cfg.cache = MemoCacheConfig::default();
@@ -110,16 +112,9 @@ fn run_bench<B: Testbench>(
     );
     let (p50, p90, p99) = batches.percentiles().unwrap_or((0.0, 0.0, 0.0));
     let stats = &res.oracle_stats;
-    println!(
-        "{name:<18} {seconds:>8.2} s   P_fail {:.4e}   {} sims   newton {}   warm seeds {}   exact hits {}",
-        res.p_fail,
-        fmt_count(res.simulations),
-        fmt_count(stats.newton_iters),
-        fmt_count(stats.warm_start_seeds),
-        fmt_count(warm.0),
-    );
+    let (warm_exact_hits, warm_seeded) = warm_tiers();
     let memo_total = stats.cache_hits + stats.cache_misses;
-    ConfigReport {
+    let report = ConfigReport {
         name: name.to_string(),
         threads,
         adaptive,
@@ -132,13 +127,22 @@ fn run_bench<B: Testbench>(
         newton_iters: stats.newton_iters,
         factorisations: stats.factorisations,
         warm_start_seeds: stats.warm_start_seeds,
-        warm_exact_hits: warm.0,
-        warm_seeded: warm.1,
+        warm_exact_hits,
+        warm_seeded,
         sim_batches: batches.count(),
         sim_batch_p50_s: p50,
         sim_batch_p90_s: p90,
         sim_batch_p99_s: p99,
-    }
+    };
+    println!(
+        "{name:<18} {seconds:>8.2} s   P_fail {:.4e}   {} sims   newton {}   warm seeds {}   exact hits {}",
+        report.p_fail,
+        fmt_count(report.simulations),
+        fmt_count(report.newton_iters),
+        fmt_count(report.warm_start_seeds),
+        fmt_count(report.warm_exact_hits),
+    );
+    report
 }
 
 /// The fixed-resolution reference bench: adaptive policy disabled, every
@@ -225,35 +229,21 @@ fn main() -> ExitCode {
 
     // 1. The cold reference: fixed-resolution butterflies, no caches
     //    beyond the per-run memo-cache every config shares.
-    let serial_fixed = run_bench("serial_fixed", cfg, 1, false, fixed_bench(), (0, 0));
+    let no_warm_tier = || (0, 0);
+    let serial_fixed = run_bench("serial_fixed", cfg, 1, false, fixed_bench(), no_warm_tier);
 
     // 2/3. The warm-started stack: adaptive coarse-first resolution plus
     //    the two-tier neighbour cache, serial and all-cores. The cache
     //    layers *below* the pipeline's counters, so the simulation
     //    counts must not move.
     let warm = WarmBench::new(SramReadBench::paper_cell(), WarmCacheConfig::default());
-    let serial_warm = {
-        let stats = {
-            let report = run_bench("serial_warm", cfg, 1, true, &warm, (0, 0));
-            let stats = warm.stats();
-            ConfigReport {
-                warm_exact_hits: stats.exact_hits,
-                warm_seeded: stats.seeded,
-                ..report
-            }
-        };
-        warm.clear();
-        stats
-    };
-    let all_cores_warm = {
-        let report = run_bench("all_cores_warm", cfg, 0, true, &warm, (0, 0));
+    let warm_tiers = || {
         let stats = warm.stats();
-        ConfigReport {
-            warm_exact_hits: stats.exact_hits,
-            warm_seeded: stats.seeded,
-            ..report
-        }
+        (stats.exact_hits, stats.seeded)
     };
+    let serial_warm = run_bench("serial_warm", cfg, 1, true, &warm, warm_tiers);
+    warm.clear();
+    let all_cores_warm = run_bench("all_cores_warm", cfg, 0, true, &warm, warm_tiers);
 
     // 4. The resident-service path: a cold run populates the shared
     //    verdict cache, the snapshot round-trips through the persistent
@@ -266,7 +256,7 @@ fn main() -> ExitCode {
         0,
         true,
         SharedBench::new(SramReadBench::paper_cell(), tag, Arc::clone(&store), true),
-        (0, 0),
+        no_warm_tier,
     );
     let snapshot = std::env::temp_dir().join(format!(
         "ecripse-bench-verdicts-{}.json",
@@ -279,26 +269,19 @@ fn main() -> ExitCode {
         .expect("load verdict store");
     assert_eq!(saved, loaded, "the snapshot must round-trip losslessly");
     let _ = std::fs::remove_file(&snapshot);
-    let warm_serve = {
-        let report = run_bench(
-            "warm_serve",
-            cfg,
-            0,
+    let warm_serve = run_bench(
+        "warm_serve",
+        cfg,
+        0,
+        true,
+        SharedBench::new(
+            SramReadBench::paper_cell(),
+            tag,
+            Arc::clone(&restored),
             true,
-            SharedBench::new(
-                SramReadBench::paper_cell(),
-                tag,
-                Arc::clone(&restored),
-                true,
-            ),
-            (0, 0),
-        );
-        ConfigReport {
-            warm_exact_hits: restored.hits(),
-            warm_seeded: 0,
-            ..report
-        }
-    };
+        ),
+        || (restored.hits(), 0),
+    );
 
     // 5. One non-default scenario: the hold-snm indicator through the
     //    same pipeline. Its estimate answers a different question, so it
@@ -317,7 +300,7 @@ fn main() -> ExitCode {
             0,
             true,
             SramScenarioBench::paper_cell(Scenario::HoldSnm),
-            (0, 0),
+            no_warm_tier,
         )
     };
 

@@ -598,6 +598,10 @@ pub struct Metrics {
     /// journal is configured). Absent in pre-PR-10 documents.
     #[serde(default)]
     pub journal_replay_duration_seconds: f64,
+    /// Wall-clock seconds the boot-time verdict-store snapshot load took
+    /// (0 when no store is configured). Absent in older documents.
+    #[serde(default)]
+    pub verdict_store_load_duration_seconds: f64,
     /// Seconds since the server bound its socket.
     pub uptime_seconds: f64,
     /// Jobs in a terminal state (completed + failed + cancelled +

@@ -278,6 +278,9 @@ struct ServeTelemetry {
     /// Boot-time journal replay duration. A histogram (not a gauge)
     /// so federated scrapes can sum replay cost across restarts.
     journal_replay_seconds: Histogram,
+    /// Boot-time verdict-store load duration, a histogram for the same
+    /// reason.
+    verdict_store_load_seconds: Histogram,
     /// Live queue depth, refreshed on every metrics snapshot so the
     /// registry's exposition agrees with the JSON document.
     queue_depth: Gauge,
@@ -303,6 +306,10 @@ impl ServeTelemetry {
             "ecripse_serve_journal_replay_duration_seconds",
             "Wall-clock duration of boot-time write-ahead journal replay",
         );
+        let verdict_store_load_seconds = registry.histogram(
+            "ecripse_serve_verdict_store_load_duration_seconds",
+            "Wall-clock duration of the boot-time verdict-store snapshot load",
+        );
         let queue_depth = registry.gauge("ecripse_serve_queue_depth", "Jobs waiting in the queue");
         let bridge = TelemetryObserver::new(&registry);
         Self {
@@ -311,6 +318,7 @@ impl ServeTelemetry {
             queue_wait_seconds,
             job_seconds,
             journal_replay_seconds,
+            verdict_store_load_seconds,
             queue_depth,
             bridge,
         }
@@ -394,6 +402,9 @@ struct Shared<B> {
     /// Wall-clock seconds boot-time journal replay took (0 without a
     /// journal); surfaced in the `/metrics` JSON document.
     journal_replay_seconds: f64,
+    /// Wall-clock seconds the boot-time verdict-store load took (0
+    /// without a store); surfaced in the `/metrics` JSON document.
+    verdict_store_load_seconds: f64,
 }
 
 /// The estimation service. Generic over the bench the factory builds,
@@ -442,6 +453,7 @@ impl<B: SweepBench + 'static> Server<B> {
         // scenarios or versions) is rejected at load time instead of
         // silently misapplying verdicts across indicators.
         let cache = Arc::new(VerdictCache::with_scope(config.cache, &registry_digest()));
+        let load_started = Instant::now();
         let cache_loaded = match &config.cache_store {
             // A missing store is the normal first boot; any other load
             // failure is worth a line on stderr, but never fatal — the
@@ -457,6 +469,11 @@ impl<B: SweepBench + 'static> Server<B> {
                 }
             },
             _ => 0,
+        };
+        let verdict_store_load_seconds = if config.cache_store.is_some() {
+            load_started.elapsed().as_secs_f64()
+        } else {
+            0.0
         };
         // Durability paths are created up front: a missing spool or
         // journal directory must fail the bind, not the first sweep
@@ -567,6 +584,11 @@ impl<B: SweepBench + 'static> Server<B> {
                 .journal_replay_seconds
                 .record(journal_replay_seconds);
         }
+        if config.cache_store.is_some() {
+            telemetry
+                .verdict_store_load_seconds
+                .record(verdict_store_load_seconds);
+        }
         let shared = Arc::new(Shared {
             cache,
             cache_loaded,
@@ -596,6 +618,7 @@ impl<B: SweepBench + 'static> Server<B> {
             node,
             spans: SpanStore::new(256),
             journal_replay_seconds,
+            verdict_store_load_seconds,
         });
         let worker_handles = (0..workers)
             .map(|_| {
@@ -1368,6 +1391,7 @@ fn collect_metrics<B>(shared: &Shared<B>) -> Metrics {
         journal_frames_replayed_total: shared.frames_replayed,
         journal_bytes: shared.journal.as_ref().map_or(0, |j| j.bytes()),
         journal_replay_duration_seconds: shared.journal_replay_seconds,
+        verdict_store_load_duration_seconds: shared.verdict_store_load_seconds,
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         jobs_in_terminal_state: completed + failed + cancelled + deadline_exceeded + persisted,
         scenario_jobs: Scenario::ALL

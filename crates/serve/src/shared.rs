@@ -205,9 +205,10 @@ impl VerdictCache {
 
     /// Loads a snapshot previously written by [`Self::save_snapshot`]
     /// into this cache and returns the number of entries restored. The
-    /// schema version is validated first, then the fingerprint; a
-    /// mismatch on either leaves the cache untouched — stale verdicts
-    /// are worse than a cold start.
+    /// schema version is validated first, then the fingerprint, then
+    /// every entry; any failure leaves the cache untouched — stale or
+    /// partial verdicts are worse than a cold start. Valid entries are
+    /// inserted shard by shard, one write lock each.
     ///
     /// # Errors
     ///
@@ -232,12 +233,18 @@ impl VerdictCache {
                 expected,
             });
         }
-        let mut count = 0usize;
+        let count = snapshot.entries.len();
+        let mut by_shard: Vec<Vec<(CacheKey, bool)>> = vec![Vec::new(); self.shards.len()];
         for entry in snapshot.entries {
             let tag = u64::from_str_radix(&entry.tag, 16)
                 .map_err(|e| SnapshotError::Malformed(format!("tag {:?}: {e}", entry.tag)))?;
-            self.insert((tag, entry.mode, entry.key), entry.verdict);
-            count += 1;
+            let key = (tag, entry.mode, entry.key);
+            by_shard[self.shard_of(&key)].push((key, entry.verdict));
+        }
+        for (shard, entries) in self.shards.iter().zip(by_shard) {
+            let mut map = shard.write();
+            map.reserve(entries.len());
+            map.extend(entries);
         }
         Ok(count)
     }
@@ -731,6 +738,30 @@ mod tests {
         let err = cache.load_snapshot(&path).expect_err("corrupt must fail");
         assert!(matches!(err, SnapshotError::Malformed(_)), "got {err}");
         assert!(cache.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn malformed_last_entry_leaves_cache_empty() {
+        let path = snapshot_path("last-tag");
+        let store = cache();
+        let shared = SharedBench::new(bench(), 7, Arc::clone(&store), true);
+        for i in 0..5 {
+            let _ = shared.fails(&[f64::from(i), 0.0, 0.0, 0.0, 0.0, 0.0]);
+        }
+        store.save_snapshot(&path).expect("save snapshot");
+        let text = std::fs::read_to_string(&path).expect("read snapshot");
+        let mut snapshot: CacheSnapshot = serde_json::from_str(&text).expect("parse snapshot");
+        snapshot.entries.last_mut().expect("five entries").tag = "not-hex".into();
+        std::fs::write(&path, serde_json::to_string(&snapshot).expect("serialise"))
+            .expect("rewrite snapshot");
+
+        let restored = cache();
+        let err = restored
+            .load_snapshot(&path)
+            .expect_err("bad tag must fail");
+        assert!(matches!(err, SnapshotError::Malformed(_)), "got {err}");
+        assert!(restored.is_empty(), "no verdict may be restored");
         std::fs::remove_file(&path).ok();
     }
 

@@ -271,6 +271,12 @@ fn prometheus_exposition_parses_and_agrees_with_json() {
         scalars["ecripse_serve_journal_replay_duration_seconds_sum"],
         metrics.journal_replay_duration_seconds
     );
+    // No verdict store is configured, so none was loaded or timed.
+    assert_eq!(metrics.verdict_store_load_duration_seconds, 0.0);
+    assert_eq!(
+        scalars["ecripse_serve_verdict_store_load_duration_seconds_count"],
+        0.0
+    );
     server.shutdown();
 }
 
@@ -339,4 +345,58 @@ fn running_sweep_status_shows_advancing_progress() {
         "at least one snapshot names the running stage"
     );
     server.shutdown();
+}
+
+#[test]
+fn verdict_store_load_is_timed_in_both_metrics_views() {
+    let dir = std::env::temp_dir().join(format!(
+        "ecripse-serve-telemetry-store-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let config = ServeConfig {
+        cache_store: Some(dir.join("verdicts.json")),
+        ..ServeConfig::default()
+    };
+    let boot = || {
+        Server::bind_with("127.0.0.1:0", config.clone(), |_scenario, _vdd| {
+            linear_bench()
+        })
+        .expect("bind")
+    };
+
+    // First boot: no store on disk yet, so nothing is loaded, but the
+    // (trivial) attempt is still one timed load.
+    let server = boot();
+    let client = Client::new(server.local_addr().to_string());
+    let request = SubmitRequest::new(tiny_config(42), JobSpec::rdf_only(1.0));
+    let submitted = client.submit(&request).expect("submit");
+    let report = client.wait_for_report(submitted.id, WAIT).expect("report");
+    assert_eq!(report.state, JobState::Completed);
+    assert_eq!(client.metrics().expect("metrics").cache_loaded_entries, 0);
+    // Shutdown persists the warm verdicts.
+    server.shutdown();
+
+    // Restart on the saved store: both views report the same load.
+    let server = boot();
+    let client = Client::new(server.local_addr().to_string());
+    let metrics = client.metrics().expect("json metrics");
+    let (scalars, names) = validate_exposition(&client.metrics_prometheus().expect("prometheus"));
+    assert!(metrics.cache_loaded_entries > 0, "the store was restored");
+    assert!(metrics.verdict_store_load_duration_seconds > 0.0);
+    for suffix in ["_bucket", "_sum", "_count"] {
+        let name = format!("ecripse_serve_verdict_store_load_duration_seconds{suffix}");
+        assert!(names.contains(&name), "missing {name} in exposition");
+    }
+    assert_eq!(
+        scalars["ecripse_serve_verdict_store_load_duration_seconds_count"],
+        1.0
+    );
+    assert_eq!(
+        scalars["ecripse_serve_verdict_store_load_duration_seconds_sum"],
+        metrics.verdict_store_load_duration_seconds
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -340,6 +340,7 @@ proptest! {
             journal_frames_replayed_total: counts[4] / 2,
             journal_bytes: counts[7],
             journal_replay_duration_seconds: depth as f64 * 0.0625,
+            verdict_store_load_duration_seconds: depth as f64 * 0.03125,
             uptime_seconds: depth as f64 * 0.125,
             jobs_in_terminal_state: counts[1] + counts[2] + counts[3] + counts[4],
             scenario_jobs: Scenario::ALL
