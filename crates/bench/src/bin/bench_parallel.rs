@@ -13,12 +13,15 @@
 //! Every configuration runs the same seed and must produce the same
 //! `P_fail` and simulation count (the determinism contract); the binary
 //! asserts this before writing the report. With `--check PATH` the run
-//! instead compares its estimates and simulation counts against the
-//! reference report at `PATH` (the committed `BENCH_parallel.json`) and
-//! exits non-zero on any drift — the CI smoke job runs this in `--quick`
-//! mode. The JSON lands in the repository root (next to the figure
-//! outputs' `results/`), with the core count recorded so numbers from
-//! different machines are not compared blindly.
+//! instead compares its estimates, simulation counts and solver effort
+//! (Newton iterations, factorisations) against the reference report at
+//! `PATH` (the committed `BENCH_parallel.json`) and exits non-zero on any
+//! drift — the CI smoke job runs this in `--quick` mode. Effort is not
+//! gated on a multi-threaded config that offers warm-start seeds: which
+//! seed a query gets there depends on thread scheduling. The JSON lands
+//! in the repository root (next to the figure outputs' `results/`), with
+//! the core count recorded so numbers from different machines are not
+//! compared blindly.
 
 use ecripse_bench::{fmt_count, paper_config, quick_mode};
 use ecripse_core::bench::{SramReadBench, Testbench};
@@ -169,14 +172,30 @@ fn a_next(args: &mut std::env::Args) -> String {
         .unwrap_or_else(|| panic!("--check requires a reference report path"))
 }
 
-/// Compares the fresh measurement against the committed reference:
-/// estimates and simulation counts must match bit-exactly per config
-/// (wall-clock and latency fields are machine-dependent and ignored).
+/// Compares the fresh measurement against the committed reference at
+/// `reference_path`; see [`compare`].
 fn check_against(reference_path: &str, fresh: &Report) -> Result<(), String> {
     let text = std::fs::read_to_string(reference_path)
         .map_err(|e| format!("cannot read reference {reference_path}: {e}"))?;
     let reference: Report = serde_json::from_str(&text)
         .map_err(|e| format!("cannot parse reference {reference_path}: {e}"))?;
+    compare(&reference, fresh)
+}
+
+/// Whether a config's solver effort is a function of the seed alone. A
+/// multi-threaded run that offers warm-start seeds picks them in
+/// whatever order the threads reach the warm tier, so its Newton
+/// iterations and factorisations depend on scheduling; every other
+/// config repeats them exactly.
+fn effort_is_deterministic(config: &ConfigReport) -> bool {
+    config.threads == 1 || config.warm_start_seeds == 0
+}
+
+/// Estimates and simulation counts must match the reference bit-exactly
+/// per config, and so must Newton iterations and factorisations wherever
+/// the reference's effort is deterministic (wall-clock and latency
+/// fields are machine-dependent and ignored).
+fn compare(reference: &Report, fresh: &Report) -> Result<(), String> {
     let mut drift = Vec::new();
     for fresh_config in &fresh.configs {
         let Some(ref_config) = reference
@@ -190,17 +209,36 @@ fn check_against(reference_path: &str, fresh: &Report) -> Result<(), String> {
             ));
             continue;
         };
+        let name = &fresh_config.name;
         if fresh_config.p_fail.to_bits() != ref_config.p_fail.to_bits() {
             drift.push(format!(
-                "{}: P_fail {} != reference {}",
-                fresh_config.name, fresh_config.p_fail, ref_config.p_fail
+                "{name}: P_fail {} != reference {}",
+                fresh_config.p_fail, ref_config.p_fail
             ));
         }
-        if fresh_config.simulations != ref_config.simulations {
-            drift.push(format!(
-                "{}: {} simulations != reference {}",
-                fresh_config.name, fresh_config.simulations, ref_config.simulations
+        let mut counters = vec![(
+            "simulations",
+            fresh_config.simulations,
+            ref_config.simulations,
+        )];
+        if effort_is_deterministic(ref_config) {
+            counters.push((
+                "newton_iters",
+                fresh_config.newton_iters,
+                ref_config.newton_iters,
             ));
+            counters.push((
+                "factorisations",
+                fresh_config.factorisations,
+                ref_config.factorisations,
+            ));
+        } else {
+            println!("{name}: effort not gated (schedule-dependent)");
+        }
+        for (counter, got, want) in counters {
+            if got != want {
+                drift.push(format!("{name}: {got} {counter} != reference {want}"));
+            }
         }
     }
     if reference.quick != fresh.quick {
@@ -377,7 +415,7 @@ fn main() -> ExitCode {
     if let Some(reference) = check_path() {
         return match check_against(&reference, &report) {
             Ok(()) => {
-                println!("check passed: estimates match {reference}");
+                println!("check passed: estimates and effort match {reference}");
                 ExitCode::SUCCESS
             }
             Err(drift) => {
@@ -390,4 +428,96 @@ fn main() -> ExitCode {
     std::fs::write("BENCH_parallel.json", json).expect("write BENCH_parallel.json");
     eprintln!("wrote BENCH_parallel.json");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(name: &str, threads: usize, warm_start_seeds: u64) -> ConfigReport {
+        ConfigReport {
+            name: name.to_string(),
+            threads,
+            adaptive: true,
+            seconds: 1.0,
+            p_fail: 1.25e-4,
+            simulations: 4009,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_hit_rate: None,
+            newton_iters: 5_186_332,
+            factorisations: 329_172,
+            warm_start_seeds,
+            warm_exact_hits: 0,
+            warm_seeded: 0,
+            sim_batches: 0,
+            sim_batch_p50_s: 0.0,
+            sim_batch_p90_s: 0.0,
+            sim_batch_p99_s: 0.0,
+        }
+    }
+
+    fn report(configs: Vec<ConfigReport>) -> Report {
+        Report {
+            workload: "test".to_string(),
+            cores: 1,
+            quick: true,
+            configs,
+            speedup_batch_solver: 1.0,
+            speedup_parallel_vs_serial: 1.0,
+            speedup_warm_serve: 1.0,
+            note: String::new(),
+        }
+    }
+
+    /// The committed reference's shapes: serial warm, all-cores warm,
+    /// all-cores without warm-start seeds.
+    fn reference() -> Report {
+        report(vec![
+            config("serial_warm", 1, 175_080),
+            config("all_cores_warm", 0, 175_080),
+            config("cold_serve", 0, 0),
+        ])
+    }
+
+    #[test]
+    fn identical_runs_pass() {
+        assert_eq!(compare(&reference(), &reference()), Ok(()));
+    }
+
+    #[test]
+    fn one_newton_iteration_off_fails_a_gated_config() {
+        for name in ["serial_warm", "cold_serve"] {
+            let mut fresh = reference();
+            let c = fresh.configs.iter_mut().find(|c| c.name == name).unwrap();
+            c.newton_iters += 1;
+            let drift = compare(&reference(), &fresh).unwrap_err();
+            assert!(
+                drift.contains(&format!("{name}: 5186333 newton_iters")),
+                "{drift}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_factorisation_off_fails_a_gated_config() {
+        let mut fresh = reference();
+        fresh.configs[2].factorisations -= 1;
+        let drift = compare(&reference(), &fresh).unwrap_err();
+        assert!(
+            drift.contains("cold_serve: 329171 factorisations"),
+            "{drift}"
+        );
+    }
+
+    #[test]
+    fn schedule_dependent_effort_is_not_gated() {
+        let mut fresh = reference();
+        fresh.configs[1].newton_iters -= 2696;
+        fresh.configs[1].factorisations += 7;
+        assert_eq!(compare(&reference(), &fresh), Ok(()));
+        // Its estimate and simulation count stay gated.
+        fresh.configs[1].simulations += 1;
+        assert!(compare(&reference(), &fresh).is_err());
+    }
 }

@@ -517,10 +517,13 @@ fn rollup(name: &str, values: &[f64]) -> Option<MetricRollup> {
     })
 }
 
+/// One rolled-up serve scalar: its name and how to read it.
+type ScalarReader = (&'static str, fn(&Metrics) -> f64);
+
 /// The federated rollup set: a few serve scalars an operator compares
 /// across workers at a glance.
 fn rollups_over(views: &[WorkerMetricsView]) -> Vec<MetricRollup> {
-    let scalars: [(&str, fn(&Metrics) -> f64); 6] = [
+    let scalars: [ScalarReader; 6] = [
         ("queue_depth", |m| m.queue_depth as f64),
         ("in_flight", |m| m.in_flight as f64),
         ("submitted", |m| m.submitted as f64),

@@ -216,33 +216,66 @@ impl Mosfet {
         }
     }
 
+    /// The drain current alone: bit-identical to
+    /// `self.eval(vg, vd, vs, vdd_bulk).id`, at less than half the cost.
+    ///
+    /// It evaluates only `F(u_f)` and `F(u_r)` (two `exp`/`ln_1p` pairs)
+    /// where [`Self::eval`] also needs `F'` for the conductances. The VTC
+    /// bisection of [`crate::sram`] reads nothing but the current, so
+    /// every indicator goes through here; the Newton solver keeps
+    /// [`Self::eval`].
+    pub fn current(&self, vg: f64, vd: f64, vs: f64, vdd_bulk: f64) -> f64 {
+        match self.params.kind {
+            MosfetKind::Nmos => self.channel(vg, vd, vs).id(),
+            // The same mirror and sign flip as `eval`.
+            MosfetKind::Pmos => -self
+                .channel(vdd_bulk - vg, vdd_bulk - vd, vdd_bulk - vs)
+                .id(),
+        }
+    }
+
+    /// The bias-dependent terms of the NMOS current in bulk-referenced
+    /// coordinates, shared by [`Self::current`] and [`Self::eval_n`] so
+    /// the two cannot drift apart.
+    fn channel(&self, vg: f64, vd: f64, vs: f64) -> Channel {
+        let p = &self.params;
+        let vt = p.v_thermal;
+        let n = p.slope_n;
+        let vds = vd - vs;
+        // DIBL lowers the barrier with drain bias.
+        let vth_eff = self.vth() - p.dibl * vds.abs();
+        let vp = (vg - vth_eff) / n;
+        let uf = (vp - vs) / vt;
+        let ur = (vp - vd) / vt;
+        Channel {
+            is: 2.0 * n * self.beta() * vt * vt,
+            uf,
+            ur,
+            ff: ekv_f(uf),
+            fr: ekv_f(ur),
+            clm: 1.0 + p.lambda * vds.abs(),
+            vds,
+        }
+    }
+
     /// NMOS evaluation in bulk-referenced coordinates.
     fn eval_n(&self, vg: f64, vd: f64, vs: f64) -> DrainCurrent {
         let p = &self.params;
         let vt = p.v_thermal;
         let n = p.slope_n;
-        let vds = vd - vs;
-        let sgn = sign_smooth(vds);
-        // DIBL lowers the barrier with drain bias.
-        let vth_eff = self.vth() - p.dibl * vds.abs();
-        let vp = (vg - vth_eff) / n;
-        let is = 2.0 * n * self.beta() * vt * vt;
+        let ch = self.channel(vg, vd, vs);
+        let sgn = sign_smooth(ch.vds);
+        let (is, clm) = (ch.is, ch.clm);
+        let fpf = ekv_fp(ch.uf);
+        let fpr = ekv_fp(ch.ur);
 
-        let uf = (vp - vs) / vt;
-        let ur = (vp - vd) / vt;
-        let ff = ekv_f(uf);
-        let fr = ekv_f(ur);
-        let fpf = ekv_fp(uf);
-        let fpr = ekv_fp(ur);
-
-        let clm = 1.0 + p.lambda * vds.abs();
         let dclm_dvd = p.lambda * sgn;
         let dclm_dvs = -dclm_dvd;
         // ∂V_P/∂V_D = dibl·sgn/n, ∂V_P/∂V_S = −dibl·sgn/n.
         let dvp_dvd = p.dibl * sgn / n;
 
-        let core = is * (ff - fr);
-        let id = core * clm;
+        let core = ch.core();
+        let id = ch.id();
         // ∂/∂VG: uf and ur both move through VP with slope 1/(n·vt).
         let gm = is * (fpf - fpr) / (n * vt) * clm;
         // ∂/∂VD: ur moves with (∂VP/∂VD − 1)/vt, uf with ∂VP/∂VD/vt.
@@ -250,6 +283,33 @@ impl Mosfet {
         // ∂/∂VS: uf moves with (−∂VP/∂VD − 1)/vt, ur with −∂VP/∂VD/vt.
         let gs = is / vt * (fpf * (-dvp_dvd - 1.0) + fpr * dvp_dvd) * clm + core * dclm_dvs;
         DrainCurrent { id, gm, gds, gs }
+    }
+}
+
+/// The EKV terms of one NMOS bias point (see [`Mosfet::channel`]).
+struct Channel {
+    /// Specific current `I_S = 2·n·β·V_t²`.
+    is: f64,
+    /// Forward and reverse normalised overdrives.
+    uf: f64,
+    ur: f64,
+    /// `F(u_f)` and `F(u_r)`.
+    ff: f64,
+    fr: f64,
+    /// Channel-length modulation factor `1 + λ·|V_DS|`.
+    clm: f64,
+    vds: f64,
+}
+
+impl Channel {
+    /// The current before channel-length modulation.
+    fn core(&self) -> f64 {
+        self.is * (self.ff - self.fr)
+    }
+
+    /// The drain current `I_S·(F(u_f) − F(u_r))·(1 + λ·|V_DS|)`.
+    fn id(&self) -> f64 {
+        self.core() * self.clm
     }
 }
 
@@ -459,6 +519,136 @@ mod proptests {
             30e-9,
             16e-9,
         )
+    }
+
+    /// A device of either polarity with a threshold shift, operated at
+    /// `delta_t` kelvin off the 300 K nominal (thermal voltage scaled as
+    /// in `Sram6T::with_temperature_delta`).
+    fn shifted(pmos: bool, delta_vth: f64, delta_t: f64) -> Mosfet {
+        let mut dev = if pmos {
+            Mosfet::new(
+                MosfetParams {
+                    kind: MosfetKind::Pmos,
+                    vth0: 0.44,
+                    kp: 3.2e-4,
+                    slope_n: 1.35,
+                    lambda: 0.15,
+                    dibl: 0.15,
+                    v_thermal: THERMAL_VOLTAGE,
+                },
+                60e-9,
+                16e-9,
+            )
+        } else {
+            nmos()
+        };
+        dev.params.v_thermal *= (300.0 + delta_t) / 300.0;
+        dev.with_delta_vth(delta_vth)
+    }
+
+    /// The drain current written out as the model defines it, operation
+    /// by operation, independent of `Channel`: a reordering in the
+    /// shared kernel changes bits and fails against this.
+    fn reference_id(m: &Mosfet, vg: f64, vd: f64, vs: f64, vdd_bulk: f64) -> f64 {
+        let (vg, vd, vs, sign) = match m.params.kind {
+            MosfetKind::Nmos => (vg, vd, vs, 1.0),
+            MosfetKind::Pmos => (vdd_bulk - vg, vdd_bulk - vd, vdd_bulk - vs, -1.0),
+        };
+        let p = &m.params;
+        let vt = p.v_thermal;
+        let n = p.slope_n;
+        let vds = vd - vs;
+        let vp = (vg - (m.vth() - p.dibl * vds.abs())) / n;
+        let is = 2.0 * n * m.beta() * vt * vt;
+        let ff = ekv_f((vp - vs) / vt);
+        let fr = ekv_f((vp - vd) / vt);
+        sign * (is * (ff - fr) * (1.0 + p.lambda * vds.abs()))
+    }
+
+    /// `current` and `eval(..).id` agree bit for bit, and both match the
+    /// reference expression.
+    fn assert_current_bits(m: &Mosfet, vg: f64, vd: f64, vs: f64, vdd_bulk: f64) {
+        let fast = m.current(vg, vd, vs, vdd_bulk);
+        let full = m.eval(vg, vd, vs, vdd_bulk).id;
+        let reference = reference_id(m, vg, vd, vs, vdd_bulk);
+        assert_eq!(
+            fast.to_bits(),
+            full.to_bits(),
+            "current {fast:e} vs eval.id {full:e} at ({vg},{vd},{vs},{vdd_bulk}) for {m:?}"
+        );
+        assert_eq!(
+            fast.to_bits(),
+            reference.to_bits(),
+            "current {fast:e} vs reference {reference:e} at ({vg},{vd},{vs},{vdd_bulk})"
+        );
+    }
+
+    #[test]
+    fn current_is_bit_identical_past_both_softplus_cutoffs() {
+        for pmos in [false, true] {
+            for (dvth, dt) in [(0.0, 0.0), (0.12, -150.0), (-0.2, 200.0)] {
+                let m = shifted(pmos, dvth, dt);
+                let mut hit_high = false;
+                let mut hit_low = false;
+                for &(vg, vd, vs) in &[
+                    (3.0, 0.0, -2.5),
+                    (-2.5, 3.0, 3.0),
+                    (3.0, -2.5, 0.7),
+                    (-2.5, -2.0, 3.0),
+                    (0.7, 0.7, 0.0),
+                    (0.0, 0.35, 0.7),
+                    (0.4, 0.4, 0.4),
+                ] {
+                    let vdd = 0.7;
+                    let (g, d, s) = if pmos {
+                        (vdd - vg, vdd - vd, vdd - vs)
+                    } else {
+                        (vg, vd, vs)
+                    };
+                    let ch = m.channel(g, d, s);
+                    for u in [ch.uf, ch.ur] {
+                        hit_high |= 0.5 * u > 30.0;
+                        hit_low |= 0.5 * u < -30.0;
+                    }
+                    assert_current_bits(&m, vg, vd, vs, vdd);
+                }
+                assert!(hit_high && hit_low, "inputs must reach both cut-offs");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `current` is `eval(..).id` bit for bit in the operating range,
+        /// for both polarities, shifted thresholds and temperatures.
+        #[test]
+        fn prop_current_matches_eval_in_operating_range(
+            vg in 0.0f64..0.8,
+            vd in 0.0f64..0.8,
+            vs in 0.0f64..0.8,
+            pmos in proptest::bool::ANY,
+            dvth in -0.3f64..0.3,
+            dt in -150.0f64..200.0,
+            vdd_bulk in 0.4f64..0.8,
+        ) {
+            assert_current_bits(&shifted(pmos, dvth, dt), vg, vd, vs, vdd_bulk);
+        }
+
+        /// The same far outside the rails, where `softplus` switches to
+        /// its `x` and `e^x` branches.
+        #[test]
+        fn prop_current_matches_eval_far_from_the_rails(
+            vg in -3.0f64..3.5,
+            vd in -3.0f64..3.5,
+            vs in -3.0f64..3.5,
+            pmos in proptest::bool::ANY,
+            dvth in -0.3f64..0.3,
+            dt in -150.0f64..200.0,
+            vdd_bulk in 0.2f64..1.2,
+        ) {
+            assert_current_bits(&shifted(pmos, dvth, dt), vg, vd, vs, vdd_bulk);
+        }
     }
 
     proptest! {

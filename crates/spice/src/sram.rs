@@ -258,16 +258,16 @@ impl Sram6T {
         let load = self.device(CellDevice::LoadR);
         let driver = self.device(CellDevice::DriverR);
         let access = self.device(CellDevice::AccessR);
-        // PMOS load: drain = QB, source = VDD. `id` is current into the
-        // drain; a pull-up sources current into the node, so the node
-        // receives −id.
-        let i_load = -load.eval(v_gate, v_out, self.vdd, self.vdd).id;
+        // PMOS load: drain = QB, source = VDD. `current` is the current
+        // into the drain; a pull-up sources current into the node, so the
+        // node receives its negative.
+        let i_load = -load.current(v_gate, v_out, self.vdd, self.vdd);
         // NMOS driver: drain = QB, source = GND. Current into the drain
         // leaves the node.
-        let i_driver = driver.eval(v_gate, v_out, 0.0, self.vdd).id;
+        let i_driver = driver.current(v_gate, v_out, 0.0, self.vdd);
         // Access NMOS: drain at BLB, source at QB; the device forwards its
         // drain current into the node.
-        let i_access = access.eval(bias.wl, bias.blb, v_out, self.vdd).id;
+        let i_access = access.current(bias.wl, bias.blb, v_out, self.vdd);
         i_load + i_access - i_driver
     }
 
@@ -276,9 +276,9 @@ impl Sram6T {
         let load = self.device(CellDevice::LoadL);
         let driver = self.device(CellDevice::DriverL);
         let access = self.device(CellDevice::AccessL);
-        let i_load = -load.eval(v_gate, v_out, self.vdd, self.vdd).id;
-        let i_driver = driver.eval(v_gate, v_out, 0.0, self.vdd).id;
-        let i_access = access.eval(bias.wl, bias.bl, v_out, self.vdd).id;
+        let i_load = -load.current(v_gate, v_out, self.vdd, self.vdd);
+        let i_driver = driver.current(v_gate, v_out, 0.0, self.vdd);
+        let i_access = access.current(bias.wl, bias.bl, v_out, self.vdd);
         i_load + i_access - i_driver
     }
 

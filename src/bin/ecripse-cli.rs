@@ -93,11 +93,17 @@
 //!
 //! Threshold shifts for `margin` are in volts, canonical device order
 //! `PL, NL, PR, NR, AL, AR`.
+//!
+//! Options are strict: an option a subcommand does not take, an option
+//! given twice, or a value that does not parse is refused before any work
+//! starts, with a usage line and exit code 2. `--help` prints every
+//! option and exits 0.
 
 use ecripse::prelude::*;
 use ecripse::spice::butterfly::Butterfly;
 use ecripse::spice::snm::read_noise_margin;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
 
 /// SIGINT (Ctrl-C) latch shared by `serve` and checkpointed sweeps.
@@ -138,53 +144,120 @@ mod interrupt {
     }
 }
 
-/// Minimal `--key value` / `--flag` parser.
+/// Why the CLI stopped short of success.
+enum CliError {
+    /// The command line itself is wrong (an unknown, repeated or
+    /// unparseable option): reported with a usage line, exit code 2.
+    Usage(String),
+    /// The command ran and failed: exit code 1.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Failed(msg.to_string())
+    }
+}
+
+/// Strict `--key value` / `--flag` parser. A key may appear once, and
+/// every key given must be read by the subcommand: it records the keys
+/// it is asked for, and [`Args::finish`] rejects the rest.
 struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
+    /// Each key given, with its value (`None` for a bare flag).
+    given: HashMap<String, Option<String>>,
+    /// The keys the subcommand has asked for so far.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
+    fn parse(raw: &[String]) -> Result<Self, CliError> {
+        let mut given = HashMap::new();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument '{a}'"));
+                return Err(CliError::Usage(format!("unexpected argument '{a}'")));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    values.insert(key.to_string(), it.next().expect("peeked").clone());
-                }
-                _ => flags.push(key.to_string()),
+            let value = it.next_if(|v| !v.starts_with("--")).cloned();
+            if given.insert(key.to_string(), value).is_some() {
+                return Err(CliError::Usage(format!("--{key} given more than once")));
             }
         }
-        Ok(Self { values, flags })
+        Ok(Self {
+            given,
+            read: RefCell::new(BTreeSet::new()),
+        })
     }
 
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
-    }
-
-    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.values.get(key) {
+    /// The raw value of `--key`, marking the key as read.
+    fn value(&self, key: &str) -> Result<Option<&str>, CliError> {
+        self.read.borrow_mut().insert(key.to_string());
+        match self.given.get(key) {
             None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
+            Some(None) => Err(CliError::Usage(format!("--{key} needs a value"))),
+            Some(Some(v)) => Ok(Some(v)),
         }
     }
 
-    fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        Ok(self.opt(key)?.unwrap_or(default))
     }
+
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.value(key)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::Usage(format!("--{key}: cannot parse '{v}'")))
+            })
+            .transpose()
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, CliError> {
+        self.read.borrow_mut().insert(key.to_string());
+        match self.given.get(key) {
+            None => Ok(false),
+            Some(None) => Ok(true),
+            Some(Some(v)) => Err(CliError::Usage(format!(
+                "--{key} takes no value, got '{v}'"
+            ))),
+        }
+    }
+
+    /// Rejects every key the subcommand never read. Call it once all
+    /// options are read and before the subcommand does any work.
+    fn finish(&self, cmd: &str) -> Result<(), CliError> {
+        let read = self.read.borrow();
+        let mut unknown: Vec<String> = self
+            .given
+            .keys()
+            .filter(|key| !read.contains(*key))
+            .map(|key| format!("--{key}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort();
+        Err(CliError::Usage(format!(
+            "unknown option(s) for {cmd}: {}",
+            unknown.join(", ")
+        )))
+    }
+}
+
+/// Reads `--vdd` (0.7 V by default) and checks it is in a sane range.
+fn vdd_arg(args: &Args) -> Result<f64, CliError> {
+    let vdd: f64 = args.get("vdd", 0.7)?;
+    if !(0.2..=1.2).contains(&vdd) {
+        return Err(CliError::Usage(format!(
+            "--vdd {vdd} outside the sane range [0.2, 1.2]"
+        )));
+    }
+    Ok(vdd)
 }
 
 /// Writes any serialisable report as pretty-printed JSON at `path`.
@@ -294,10 +367,15 @@ fn render_waterfall(trace: &JobTrace) -> String {
     out
 }
 
-fn usage() {
+/// The one-line synopsis printed with every command-line error.
+const SYNOPSIS: &str =
+    "usage: ecripse-cli <estimate|sweep|margin|naive|serve|cluster|submit|trace> [options]";
+
+/// The full help text (`--help`).
+fn usage_text() -> String {
     let scenario_ids: Vec<&str> = registry().iter().map(|info| info.id).collect();
-    eprintln!(
-        "usage: ecripse-cli <estimate|sweep|margin|naive|serve|cluster|submit> [options]\n\
+    format!(
+        "{SYNOPSIS}\n\
          \n\
          scenarios: {} (default read-snm; see SCENARIOS.md)\n\
          \n\
@@ -337,16 +415,21 @@ fn usage() {
          \x20          --idempotency-key KEY (retry-safe submission dedup)\n\
          \x20          --retry N (0; retries on connect errors, 5xx and 429)\n\
          trace     fetch a job's distributed trace and render a waterfall\n\
-         \x20          trace JOB_ID --addr HOST:PORT (required)  --json (raw span document)",
+         \x20          trace JOB_ID --addr HOST:PORT (required)  --json (raw span document)\n",
         scenario_ids.join(", ")
-    );
+    )
 }
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), CliError> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` anywhere, or the `help` subcommand, prints the options and
+    // runs nothing.
+    if raw.iter().any(|a| a == "--help" || a == "-h") || raw.first().is_some_and(|a| a == "help") {
+        print!("{}", usage_text());
+        return Ok(());
+    }
     let Some((cmd, rest)) = raw.split_first() else {
-        usage();
-        return Err("missing subcommand".into());
+        return Err(CliError::Usage("missing subcommand".into()));
     };
     // `trace` takes its job id as a leading positional (`trace 3 --addr
     // …`); peel it off before the `--key value` parser, which rejects
@@ -361,20 +444,24 @@ fn run() -> Result<(), String> {
         }
     }
     let args = Args::parse(&rest)?;
-    let vdd: f64 = args.get("vdd", 0.7)?;
-    if !(0.2..=1.2).contains(&vdd) {
-        return Err(format!("--vdd {vdd} outside the sane range [0.2, 1.2]"));
-    }
 
+    // Each subcommand reads all of its options, then calls
+    // `args.finish` before it does any work.
     match cmd.as_str() {
         "estimate" => {
+            let vdd = vdd_arg(&args)?;
             let scenario: Scenario = args.get("scenario", Scenario::default())?;
-            let bench = SramScenarioBench::at_vdd(scenario, vdd);
             let alpha: f64 = args.get("alpha", 0.5)?;
+            let no_rtn = args.flag("no-rtn")?;
             let samples: usize = args.get("samples", 4000)?;
             let tolerance: Option<f64> = args.opt("tolerance")?;
             let seed: u64 = args.get("seed", 0xec4155e)?;
+            let threads: usize = args.get("threads", 0)?;
             let report_path: Option<String> = args.opt("report")?;
+            let progress_lines = args.flag("progress")?;
+            let trace_path: Option<String> = args.opt("trace-log")?;
+            args.finish(cmd)?;
+            let bench = SramScenarioBench::at_vdd(scenario, vdd);
             let mut cfg = EcripseConfig {
                 scenario,
                 ..EcripseConfig::default()
@@ -384,22 +471,21 @@ fn run() -> Result<(), String> {
             cfg.initial.r_max = cfg.initial.r_max.max(scenario.recommended_r_max());
             cfg.importance.n_samples = samples;
             cfg.seed = seed;
-            cfg.threads = args.get("threads", 0)?;
+            cfg.threads = threads;
             let recorder = RunRecorder::new();
             let progress = ProgressObserver::new();
-            let trace_path: Option<String> = args.opt("trace-log")?;
             let telemetry = trace_path.as_deref().map(trace_telemetry).transpose()?;
             let mut observers = MultiObserver::new();
             if report_path.is_some() {
                 observers.push(&recorder);
             }
-            if args.flag("progress") {
+            if progress_lines {
                 observers.push(&progress);
             }
             if let Some((_, bridge)) = &telemetry {
                 observers.push(bridge);
             }
-            let result = if args.flag("no-rtn") {
+            let result = if no_rtn {
                 cfg.importance.m_rtn = 1;
                 cfg.m_rtn_stage1 = 1;
                 let run = Ecripse::new(cfg, bench);
@@ -443,32 +529,36 @@ fn run() -> Result<(), String> {
             }
         }
         "sweep" => {
+            let vdd = vdd_arg(&args)?;
             let scenario: Scenario = args.get("scenario", Scenario::default())?;
             let points: usize = args.get("points", 11)?;
+            let samples: usize = args.get("samples", 2000)?;
+            let m_rtn: usize = args.get("m-rtn", 20)?;
+            let seed: u64 = args.get("seed", 0xec4155e)?;
+            let threads: usize = args.get("threads", 0)?;
+            let report_path: Option<String> = args.opt("report")?;
+            let options = SweepOptions {
+                checkpoint: args.opt::<String>("checkpoint")?.map(Into::into),
+                resume: args.flag("resume")?,
+                keep_going: args.flag("keep-going")?,
+            };
+            let trace_path: Option<String> = args.opt("trace-log")?;
+            args.finish(cmd)?;
             if points < 2 {
                 return Err("--points must be at least 2".into());
             }
-            let samples: usize = args.get("samples", 2000)?;
-            let seed: u64 = args.get("seed", 0xec4155e)?;
             let mut cfg = EcripseConfig {
                 scenario,
                 ..EcripseConfig::default()
             };
             cfg.initial.r_max = cfg.initial.r_max.max(scenario.recommended_r_max());
             cfg.importance.n_samples = samples;
-            cfg.importance.m_rtn = args.get("m-rtn", 20)?;
+            cfg.importance.m_rtn = m_rtn;
             cfg.seed = seed;
-            cfg.threads = args.get("threads", 0)?;
+            cfg.threads = threads;
             let alphas: Vec<f64> = (0..points)
                 .map(|i| i as f64 / (points - 1) as f64)
                 .collect();
-            let report_path: Option<String> = args.opt("report")?;
-            let options = SweepOptions {
-                checkpoint: args.opt::<String>("checkpoint")?.map(Into::into),
-                resume: args.flag("resume"),
-                keep_going: args.flag("keep-going"),
-            };
-            let trace_path: Option<String> = args.opt("trace-log")?;
             let telemetry = trace_path.as_deref().map(trace_telemetry).transpose()?;
             let mut observers = MultiObserver::new();
             if let Some((_, bridge)) = &telemetry {
@@ -485,7 +575,7 @@ fn run() -> Result<(), String> {
             };
             let run = match run {
                 Err(e @ SweepError::Interrupted { .. }) => {
-                    return Err(e.to_string());
+                    return Err(e.to_string().into());
                 }
                 other => other.map_err(|e| e.to_string())?,
             };
@@ -526,11 +616,13 @@ fn run() -> Result<(), String> {
                     "rdf-only: {:.4e}   {failed} point(s) FAILED   total sims: {}",
                     run.p_fail_rdf_only, run.total_simulations
                 );
-                return Err(format!("{failed} sweep point(s) failed"));
+                return Err(format!("{failed} sweep point(s) failed").into());
             }
         }
         "margin" => {
+            let vdd = vdd_arg(&args)?;
             let dvth_str: String = args.get("dvth", "0,0,0,0,0,0".to_string())?;
+            args.finish(cmd)?;
             let dvth: Vec<f64> = dvth_str
                 .split(',')
                 .map(|s| {
@@ -578,18 +670,21 @@ fn run() -> Result<(), String> {
             );
         }
         "naive" => {
-            let bench = SramReadBench::at_vdd(vdd);
+            let vdd = vdd_arg(&args)?;
+            let alpha: f64 = args.get("alpha", 0.5)?;
+            let no_rtn = args.flag("no-rtn")?;
             let samples: usize = args.get("samples", 100_000)?;
             let seed: u64 = args.get("seed", 0xa1fe)?;
+            args.finish(cmd)?;
+            let bench = SramReadBench::at_vdd(vdd);
             let cfg = NaiveConfig {
                 n_samples: samples,
                 trace_every: 0,
                 seed,
             };
-            let result = if args.flag("no-rtn") {
+            let result = if no_rtn {
                 naive_monte_carlo(&bench, &NoRtn::new(6), &cfg)
             } else {
-                let alpha: f64 = args.get("alpha", 0.5)?;
                 let rtn = SramRtn::paper_model(alpha, bench.sigmas());
                 naive_monte_carlo(&bench, &rtn, &cfg)
             };
@@ -604,6 +699,8 @@ fn run() -> Result<(), String> {
         }
         "serve" => {
             let addr: String = args.get("addr", "127.0.0.1:7878".to_string())?;
+            let join: Option<String> = args.opt("join")?;
+            let worker_name: Option<String> = args.opt("worker-name")?;
             let config = ServeConfig {
                 workers: args.get("workers", 2)?,
                 queue_capacity: args.get("queue", 16)?,
@@ -612,9 +709,10 @@ fn run() -> Result<(), String> {
                 journal: args.opt::<String>("journal")?.map(Into::into),
                 // Trace spans carry the worker name as their node, so a
                 // cluster waterfall names the worker, not just a port.
-                node: args.opt::<String>("worker-name")?,
+                node: worker_name.clone(),
                 ..ServeConfig::default()
             };
+            args.finish(cmd)?;
             let workers = config.workers.max(1);
             let server = Server::bind(&addr, config).map_err(|e| format!("bind {addr}: {e}"))?;
             // The test harness parses this line to discover the port
@@ -623,12 +721,10 @@ fn run() -> Result<(), String> {
             println!("{workers} worker(s); press Ctrl-C to drain and shut down");
             // --join enrols this server as a cluster worker: register
             // with the coordinator and heartbeat until shutdown.
-            let membership = match args.opt::<String>("join")? {
+            let membership = match join {
                 Some(coordinator) => {
-                    let name: String = args.get(
-                        "worker-name",
-                        format!("worker-{}", server.local_addr().port()),
-                    )?;
+                    let name = worker_name
+                        .unwrap_or_else(|| format!("worker-{}", server.local_addr().port()));
                     println!("joining cluster at {coordinator} as {name}");
                     Some(ecripse::cluster::join(JoinConfig::new(
                         coordinator,
@@ -667,6 +763,7 @@ fn run() -> Result<(), String> {
                 max_inflight_jobs: args.get("max-jobs", 32usize)?.max(1),
                 ..ClusterConfig::default()
             };
+            args.finish(cmd)?;
             let coordinator =
                 Coordinator::bind(&addr, config).map_err(|e| format!("bind {addr}: {e}"))?;
             // Same parseable first line as `serve` — harnesses reuse it.
@@ -687,37 +784,50 @@ fn run() -> Result<(), String> {
             );
         }
         "submit" => {
-            let Some(addr) = args.opt::<String>("addr")? else {
-                return Err("submit requires --addr HOST:PORT".into());
-            };
+            let addr: Option<String> = args.opt("addr")?;
+            let vdd = vdd_arg(&args)?;
             let scenario: Scenario = args.get("scenario", Scenario::default())?;
+            let samples: usize = args.get("samples", 4000)?;
+            let seed: u64 = args.get("seed", 0xec4155e)?;
+            let threads: usize = args.get("threads", 0)?;
+            let points: Option<usize> = args.opt("points")?;
+            let m_rtn: Option<usize> = args.opt("m-rtn")?;
+            let no_rtn = args.flag("no-rtn")?;
+            let alpha: f64 = args.get("alpha", 0.5)?;
+            let timeout_s: u64 = args.get("timeout", 600)?;
+            let retries: u32 = args.get("retry", 0)?;
+            let deadline_ms: Option<u64> = args.opt("deadline")?;
+            let idempotency_key: Option<String> = args.opt("idempotency-key")?;
+            args.finish(cmd)?;
+            let Some(addr) = addr else {
+                return Err(CliError::Usage("submit requires --addr HOST:PORT".into()));
+            };
             let mut cfg = EcripseConfig::default();
             cfg.initial.r_max = cfg.initial.r_max.max(scenario.recommended_r_max());
-            cfg.importance.n_samples = args.get("samples", 4000)?;
-            cfg.seed = args.get("seed", 0xec4155e)?;
-            cfg.threads = args.get("threads", 0)?;
-            let job = if let Some(points) = args.opt::<usize>("points")? {
+            cfg.importance.n_samples = samples;
+            cfg.seed = seed;
+            cfg.threads = threads;
+            if let Some(m_rtn) = m_rtn {
+                cfg.importance.m_rtn = m_rtn;
+            }
+            let job = if let Some(points) = points {
                 if points < 2 {
                     return Err("--points must be at least 2".into());
-                }
-                if let Some(m_rtn) = args.opt::<usize>("m-rtn")? {
-                    cfg.importance.m_rtn = m_rtn;
                 }
                 let alphas: Vec<f64> = (0..points)
                     .map(|i| i as f64 / (points - 1) as f64)
                     .collect();
                 JobSpec::sweep(vdd, alphas)
-            } else if args.flag("no-rtn") {
+            } else if no_rtn {
                 cfg.importance.m_rtn = 1;
                 cfg.m_rtn_stage1 = 1;
                 JobSpec::rdf_only(vdd)
             } else {
-                JobSpec::estimate(vdd, args.get("alpha", 0.5)?)
+                JobSpec::estimate(vdd, alpha)
             };
-            let timeout = std::time::Duration::from_secs(args.get("timeout", 600)?);
+            let timeout = std::time::Duration::from_secs(timeout_s);
             let mut client = Client::new(addr.clone())
                 .with_timeout(timeout.min(std::time::Duration::from_secs(30)));
-            let retries: u32 = args.get("retry", 0)?;
             if retries > 0 {
                 client = client.with_retry(BackoffPolicy {
                     max_attempts: retries.saturating_add(1),
@@ -726,10 +836,10 @@ fn run() -> Result<(), String> {
             }
             client.handshake().map_err(|e| format!("{addr}: {e}"))?;
             let mut request = SubmitRequest::with_scenario(scenario, cfg, job);
-            if let Some(deadline_ms) = args.opt::<u64>("deadline")? {
+            if let Some(deadline_ms) = deadline_ms {
                 request = request.with_deadline_ms(deadline_ms);
             }
-            if let Some(key) = args.opt::<String>("idempotency-key")? {
+            if let Some(key) = idempotency_key {
                 request = request.with_idempotency_key(key);
             }
             let submitted = client.submit(&request).map_err(|e| e.to_string())?;
@@ -746,7 +856,8 @@ fn run() -> Result<(), String> {
                     report.id,
                     report.state,
                     report.error.unwrap_or_else(|| "no error recorded".into())
-                ));
+                )
+                .into());
             }
             if let Some(trace_id) = &report.trace_id {
                 println!(
@@ -781,19 +892,28 @@ fn run() -> Result<(), String> {
             }
         }
         "trace" => {
-            let Some(addr) = args.opt::<String>("addr")? else {
-                return Err("trace requires --addr HOST:PORT".into());
+            let addr: Option<String> = args.opt("addr")?;
+            let job: Option<String> = args.opt("job")?;
+            let timeout_s: u64 = args.get("timeout", 30)?;
+            let json = args.flag("json")?;
+            args.finish(cmd)?;
+            let Some(addr) = addr else {
+                return Err(CliError::Usage("trace requires --addr HOST:PORT".into()));
             };
-            let job_id: u64 = match leading_job.or_else(|| args.values.get("job").cloned()) {
-                Some(raw) => raw
-                    .parse()
-                    .map_err(|_| format!("trace: job id must be numeric, got '{raw}'"))?,
-                None => return Err("trace requires a JOB_ID (or --job ID)".into()),
+            let job_id: u64 = match leading_job.or(job) {
+                Some(raw) => raw.parse().map_err(|_| {
+                    CliError::Usage(format!("trace: job id must be numeric, got '{raw}'"))
+                })?,
+                None => {
+                    return Err(CliError::Usage(
+                        "trace requires a JOB_ID (or --job ID)".into(),
+                    ))
+                }
             };
-            let timeout = std::time::Duration::from_secs(args.get("timeout", 30)?);
+            let timeout = std::time::Duration::from_secs(timeout_s);
             let client = Client::new(addr.clone()).with_timeout(timeout);
             let trace = client.trace(job_id).map_err(|e| format!("{addr}: {e}"))?;
-            if args.flag("json") {
+            if json {
                 let json = serde_json::to_string_pretty(&trace)
                     .map_err(|e| format!("render trace: {e}"))?;
                 println!("{json}");
@@ -806,11 +926,7 @@ fn run() -> Result<(), String> {
                 print!("{}", render_waterfall(&trace));
             }
         }
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            usage();
-            return Err(format!("unknown subcommand '{other}'"));
-        }
+        other => return Err(CliError::Usage(format!("unknown subcommand '{other}'"))),
     }
     Ok(())
 }
@@ -818,7 +934,11 @@ fn run() -> Result<(), String> {
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}\n{SYNOPSIS}\n(ecripse-cli --help lists every option)");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
