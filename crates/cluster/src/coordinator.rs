@@ -5,9 +5,9 @@
 //!
 //! The coordinator accepts the *exact* job protocol a single server
 //! speaks — `POST /v1/jobs` with a
-//! [`SubmitRequest`](ecripse_serve::protocol::SubmitRequest), the same
+//! [`SubmitRequest`], the same
 //! status/report/cancel routes, the same error bodies. A client (or
-//! the retrying [`Client`](ecripse_serve::Client)) cannot tell the two
+//! the retrying [`Client`]) cannot tell the two
 //! apart; pointing an existing deployment at a coordinator is a config
 //! change, not a code change.
 //!
@@ -21,14 +21,15 @@
 //! *global grid indices*. The worker seeds every point by global index
 //! — exactly the seed a single-process full-grid run would use — so
 //! the merged report is bit-identical to the unsharded run (see
-//! [`merge_sweep_shards`](ecripse_core::sweep::merge_sweep_shards)).
+//! [`merge_sweep_shards`]).
 //! Estimates have nothing to split and are forwarded whole to one
 //! ring-chosen worker.
 //!
 //! # Failover
 //!
-//! Workers heartbeat (see [`crate::join`]); the reaper marks a silent
-//! worker dead after [`ClusterConfig::heartbeat_timeout`]. A dead
+//! Workers heartbeat (see [`crate::join`](mod@crate::join)); the
+//! reaper marks a silent worker dead after
+//! [`ClusterConfig::heartbeat_timeout`]. A dead
 //! worker's unfinished shards are re-dispatched to survivors under
 //! their *original* idempotency keys (`cluster/job-{id}/shard-{s}`),
 //! so a worker that merely restarted answers the re-dispatch with its
@@ -36,6 +37,15 @@
 //! counted twice. The merge is keyed by global point index, not
 //! arrival order — reassignment cannot change the result, only the
 //! wall-clock.
+//!
+//! # Long-polled status
+//!
+//! `GET /v1/jobs/{id}` honours `Prefer: wait=N` exactly as a single
+//! server does (see [`ecripse_serve::longpoll`]): the request is held
+//! until the merged job reaches a terminal state, the wait runs out
+//! (capped at the coordinator's 30 s socket timeouts), or the
+//! coordinator starts draining. The coordinator's own shard polls are
+//! plain status requests.
 
 use crate::protocol::{
     ClusterMetrics, ClusterWorkers, HeartbeatRequest, MetricRollup, RegisterRequest,
@@ -44,8 +54,11 @@ use crate::protocol::{
 use crate::registry::WorkerRegistry;
 use crate::ring::HashRing;
 use ecripse_core::sweep::{merge_sweep_shards, SweepShard};
-use ecripse_core::telemetry::{escape_label_value, fmt_hex_id, SpanRecord, TraceContext};
+use ecripse_core::telemetry::{
+    escape_label_value, fmt_hex_id, Gauge, Histogram, MetricsRegistry, SpanRecord, TraceContext,
+};
 use ecripse_serve::http::{self, Request, Response};
+use ecripse_serve::longpoll::{self, TerminalSignal};
 use ecripse_serve::protocol::{
     ApiError, Health, JobKind, JobReport, JobSpec, JobState, JobStatus, JobTrace, Metrics,
     Readiness, SubmitRequest, SweepOutcome, PROTOCOL_VERSION,
@@ -62,6 +75,10 @@ use std::time::{Duration, Instant};
 /// fan-out — deliberately shorter than [`ClusterConfig::worker_timeout`]
 /// so one hung worker cannot stall a `GET /metrics` or trace fetch.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Read and write timeout on accepted connections; also the longest a
+/// long-polled status request is held.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Coordinator settings.
 #[derive(Debug, Clone)]
@@ -144,10 +161,43 @@ struct Counters {
     estimates_forwarded: AtomicU64,
 }
 
+/// The coordinator's long-poll telemetry, rendered after the
+/// hand-listed `ecripse_cluster_*` series in the exposition.
+struct StatusWaitTelemetry {
+    registry: MetricsRegistry,
+    /// Time long-polled status requests spent parked.
+    seconds: Histogram,
+    /// Status requests parked right now, refreshed on every snapshot.
+    waiters: Gauge,
+}
+
+impl StatusWaitTelemetry {
+    fn new() -> Self {
+        let registry = MetricsRegistry::new();
+        let seconds = registry.histogram(
+            "ecripse_cluster_status_wait_seconds",
+            "Time a long-polled status request spent parked",
+        );
+        let waiters = registry.gauge(
+            "ecripse_cluster_status_waiters",
+            "Long-polled status requests parked right now",
+        );
+        Self {
+            registry,
+            seconds,
+            waiters,
+        }
+    }
+}
+
 struct Shared {
     config: ClusterConfig,
     registry: WorkerRegistry,
     state: parking_lot::Mutex<State>,
+    /// Bumped when a job reaches a terminal state; wakes long-polled
+    /// status requests, and closed when draining starts.
+    waits: TerminalSignal,
+    status_waits: StatusWaitTelemetry,
     counters: Counters,
     stop_accepting: AtomicBool,
     draining: AtomicBool,
@@ -188,6 +238,8 @@ impl Coordinator {
                 dispatchers: Vec::new(),
                 active: 0,
             }),
+            waits: TerminalSignal::new(),
+            status_waits: StatusWaitTelemetry::new(),
             counters: Counters::default(),
             stop_accepting: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -231,6 +283,7 @@ impl Coordinator {
     pub fn shutdown(mut self) {
         self.shared.stop_accepting.store(true, Ordering::SeqCst);
         self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.waits.close();
         let dispatchers = std::mem::take(&mut self.shared.state.lock().dispatchers);
         for dispatcher in dispatchers {
             let _ = dispatcher.join();
@@ -253,6 +306,7 @@ impl Drop for Coordinator {
             self.shared.stop_accepting.store(true, Ordering::SeqCst);
             self.shared.draining.store(true, Ordering::SeqCst);
             self.shared.reaper_stop.store(true, Ordering::SeqCst);
+            self.shared.waits.close();
         }
     }
 }
@@ -298,8 +352,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let response = match http::read_request(&mut stream) {
         Ok(request) => route(shared, &request),
         Err(e) => error_response(400, "bad_request", e.to_string()),
@@ -320,7 +374,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "jobs"]) => submit(shared, request),
-        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| status(shared, id)),
+        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| status(shared, id, request)),
         ("GET", ["v1", "jobs", id, "report"]) => with_job_id(id, |id| report(shared, id)),
         ("GET", ["v1", "jobs", id, "trace"]) => with_job_id(id, |id| trace_document(shared, id)),
         ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel(shared, id)),
@@ -474,6 +528,8 @@ fn readyz(shared: &Arc<Shared>) -> Response {
 
 fn collect_metrics(shared: &Arc<Shared>) -> ClusterMetrics {
     let c = &shared.counters;
+    let status_waiters = shared.waits.parked() as u64;
+    shared.status_waits.waiters.set(status_waiters as f64);
     ClusterMetrics {
         workers_alive: shared.registry.alive().len() as u64,
         workers_dead_total: c.workers_dead.load(Ordering::Relaxed),
@@ -488,6 +544,9 @@ fn collect_metrics(shared: &Arc<Shared>) -> ClusterMetrics {
         shards_completed_total: c.shards_completed.load(Ordering::Relaxed),
         estimates_forwarded_total: c.estimates_forwarded.load(Ordering::Relaxed),
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
+        status_waiters,
+        status_wait_seconds_count: shared.status_waits.seconds.count(),
+        status_wait_seconds_sum: shared.status_waits.seconds.sum(),
         workers: Vec::new(),
         rollups: Vec::new(),
     }
@@ -608,6 +667,7 @@ fn relabel_exposition(text: &str, worker: &str, seen: &mut HashSet<String>) -> S
 /// re-labelled per worker (`ecripse_serve_*{worker="..."}`).
 fn render_federated_prometheus(shared: &Arc<Shared>, metrics: &ClusterMetrics) -> String {
     let mut out = render_prometheus(metrics);
+    out.push_str(&shared.status_waits.registry.render_prometheus());
     let mut seen = HashSet::new();
     for (name, addr) in shared.registry.alive() {
         if let Ok(text) = scrape_client(&addr).metrics_prometheus() {
@@ -787,11 +847,18 @@ fn job_status(state: &State, id: u64) -> Option<JobStatus> {
     })
 }
 
-fn status(shared: &Arc<Shared>, id: u64) -> Response {
-    match job_status(&shared.state.lock(), id) {
-        Some(status) => Response::json(200, json_body(&status)),
-        None => error_response(404, "unknown_job", format!("no job {id}")),
+/// `GET /v1/jobs/{id}`, held under `Prefer: wait=N` until the job is
+/// terminal (see the module docs).
+fn status(shared: &Arc<Shared>, id: u64, request: &Request) -> Response {
+    let until =
+        longpoll::requested_wait(request).map(|wait| Instant::now() + wait.min(SOCKET_TIMEOUT));
+    let (response, parked) = shared
+        .waits
+        .answer_status(id, until, || job_status(&shared.state.lock(), id));
+    if let Some(parked) = parked {
+        shared.status_waits.seconds.record(parked.as_secs_f64());
     }
+    response
 }
 
 fn report(shared: &Arc<Shared>, id: u64) -> Response {
@@ -1134,15 +1201,18 @@ fn dispatch_job(shared: &Arc<Shared>, id: u64) {
         _ => &shared.counters.jobs_failed,
     };
     counter.fetch_add(1, Ordering::Relaxed);
-    let mut state = shared.state.lock();
-    state.active = state.active.saturating_sub(1);
-    if let Some(job) = state.jobs.get_mut(&id) {
-        job.state = state_out;
-        job.error = error;
-        job.report = report;
-        job.spans = tracing.spans;
-        job.shard_sources = tracing.sources;
+    {
+        let mut state = shared.state.lock();
+        state.active = state.active.saturating_sub(1);
+        if let Some(job) = state.jobs.get_mut(&id) {
+            job.state = state_out;
+            job.error = error;
+            job.report = report;
+            job.spans = tracing.spans;
+            job.shard_sources = tracing.sources;
+        }
     }
+    shared.waits.bump();
 }
 
 /// A short-fused retrying client for worker submissions (submit retries

@@ -119,6 +119,17 @@ pub struct ClusterMetrics {
     pub estimates_forwarded_total: u64,
     /// Seconds since the coordinator bound its socket.
     pub uptime_seconds: f64,
+    /// Long-polled status requests (`Prefer: wait=N`) parked on the
+    /// coordinator right now. Absent in older documents.
+    #[serde(default)]
+    pub status_waiters: u64,
+    /// Long-polled status requests that were parked, over the
+    /// coordinator's life (the `status_wait_seconds` histogram count).
+    #[serde(default)]
+    pub status_wait_seconds_count: u64,
+    /// Total seconds those requests spent parked (the histogram's sum).
+    #[serde(default)]
+    pub status_wait_seconds_sum: f64,
     /// Per-worker serve metrics gathered by the on-demand federation
     /// scrape behind `GET /metrics`. Empty when no worker answered, in
     /// the in-process [`Coordinator::metrics`](crate::Coordinator::metrics)
@@ -172,6 +183,9 @@ mod tests {
             shards_completed_total: 7,
             estimates_forwarded_total: 1,
             uptime_seconds: 0.5,
+            status_waiters: 2,
+            status_wait_seconds_count: 9,
+            status_wait_seconds_sum: 1.25,
             workers: Vec::new(),
             rollups: vec![MetricRollup {
                 name: "queue_depth".into(),
@@ -186,8 +200,8 @@ mod tests {
     }
 
     /// A pre-PR-10 coordinator metrics document — no `workers`, no
-    /// `rollups` — must still parse, with the federation fields
-    /// defaulting to empty.
+    /// `rollups`, no status-wait fields — must still parse, with those
+    /// fields defaulting to empty.
     #[test]
     fn pre_federation_metrics_still_parse() {
         let modern = ClusterMetrics {
@@ -204,13 +218,25 @@ mod tests {
             shards_completed_total: 4,
             estimates_forwarded_total: 0,
             uptime_seconds: 1.5,
+            status_waiters: 0,
+            status_wait_seconds_count: 0,
+            status_wait_seconds_sum: 0.0,
             workers: Vec::new(),
             rollups: Vec::new(),
         };
         let json = serde_json::to_string(&modern).expect("serialise");
         let mut value: serde::json::Value = serde_json::from_str(&json).expect("parse");
         if let serde::json::Value::Object(entries) = &mut value {
-            entries.retain(|(key, _)| key != "workers" && key != "rollups");
+            entries.retain(|(key, _)| {
+                !matches!(
+                    key.as_str(),
+                    "workers"
+                        | "rollups"
+                        | "status_waiters"
+                        | "status_wait_seconds_count"
+                        | "status_wait_seconds_sum"
+                )
+            });
         }
         let stripped = serde_json::to_string(&value).expect("re-serialise");
         let back: ClusterMetrics =

@@ -26,6 +26,7 @@
 //! whenever retries are enabled.
 
 use crate::http;
+use crate::longpoll;
 use crate::protocol::{
     ApiError, Health, JobReport, JobStatus, JobTrace, Metrics, Readiness, SubmitRequest,
     PROTOCOL_VERSION,
@@ -500,10 +501,18 @@ impl Client {
         })
     }
 
-    /// Polls a job's status until it reaches a terminal state, with
-    /// capped exponential backoff between polls (10 ms doubling to
-    /// 500 ms) — short jobs are noticed almost immediately, long ones
-    /// don't get hammered.
+    /// Waits for a job to reach a terminal state, long-polling its
+    /// status: every status request carries `Prefer: wait=N` (see
+    /// [`crate::longpoll`]), so a server that honours it answers the
+    /// moment the job ends. `N` is whole seconds, at most half this
+    /// client's socket timeout (the answer always arrives before the
+    /// socket gives up) and never past `timeout`.
+    ///
+    /// A non-terminal answer that comes back before the asked wait ran
+    /// out — a server that ignores the header, one that is draining or
+    /// at its waiter bound, or less than a second of `timeout` left —
+    /// is followed by a backoff sleep (10 ms doubling to 500 ms) before
+    /// the next request, so such servers are polled as before.
     ///
     /// A job that was *stopped* rather than finished is an error, not a
     /// status: [`ClientError::Cancelled`] and
@@ -523,7 +532,19 @@ impl Client {
         let mut interval = Duration::from_millis(10);
         let cap = Duration::from_millis(500);
         loop {
-            let status = self.status(id)?;
+            let asked = Instant::now();
+            let wait = deadline
+                .saturating_duration_since(asked)
+                .min(self.timeout / 2);
+            // Whole seconds, as the header carries them.
+            let wait = Duration::from_secs(wait.as_secs());
+            let prefer = longpoll::prefer_wait(wait);
+            let status: JobStatus = self.expect_json_with_headers(
+                "GET",
+                &format!("/v1/jobs/{id}"),
+                None,
+                &[("prefer", &prefer)],
+            )?;
             match status.state {
                 crate::protocol::JobState::Cancelled => {
                     return Err(ClientError::Cancelled { id });
@@ -544,9 +565,13 @@ impl Client {
                     waited: started.elapsed(),
                 });
             }
-            // Never oversleep the deadline by more than one beat.
-            std::thread::sleep(interval.min(deadline - now));
-            interval = (interval * 2).min(cap);
+            // A request held for its whole wait is followed at once by
+            // the next; anything answered early backs off first.
+            if wait.is_zero() || now - asked < wait {
+                // Never oversleep the deadline by more than one beat.
+                std::thread::sleep(interval.min(deadline - now));
+                interval = (interval * 2).min(cap);
+            }
         }
     }
 

@@ -18,6 +18,8 @@
 //!   bit-identical to direct library calls;
 //! * [`journal`] — the checksummed, fsync'd write-ahead job journal
 //!   that makes accepted jobs survive a `kill -9`;
+//! * [`longpoll`] — `Prefer: wait=N` status requests, answered when the
+//!   job ends, and the wake-up primitive the cluster coordinator shares;
 //! * [`server`] — the bounded job queue, fixed worker pool,
 //!   backpressure (`429` + `Retry-After`), deadlines + cancellation,
 //!   crash recovery and graceful drain;
@@ -57,12 +59,14 @@
 pub mod client;
 pub mod http;
 pub mod journal;
+pub mod longpoll;
 pub mod protocol;
 pub mod server;
 pub mod shared;
 
 pub use client::{BackoffPolicy, Client, ClientError};
 pub use journal::{Journal, JournalKind, JournalRecord};
+pub use longpoll::MAX_STATUS_WAITERS;
 pub use protocol::{
     ApiError, EstimateOutcome, Health, JobKind, JobProgress, JobReport, JobSpec, JobState,
     JobStatus, JobTrace, Metrics, Readiness, SubmitRequest, SweepOutcome, PROTOCOL_VERSION,

@@ -602,6 +602,18 @@ pub struct Metrics {
     /// (0 when no store is configured). Absent in older documents.
     #[serde(default)]
     pub verdict_store_load_duration_seconds: f64,
+    /// Long-polled status requests (`Prefer: wait=N`) parked right now.
+    /// Absent in older documents.
+    #[serde(default)]
+    pub status_waiters: u64,
+    /// Long-polled status requests that were parked, over the server's
+    /// life (the count of the `status_wait_seconds` histogram).
+    #[serde(default)]
+    pub status_wait_seconds_count: u64,
+    /// Total seconds those requests spent parked (the histogram's sum).
+    /// Parked time is not in the HTTP request-latency histogram.
+    #[serde(default)]
+    pub status_wait_seconds_sum: f64,
     /// Seconds since the server bound its socket.
     pub uptime_seconds: f64,
     /// Jobs in a terminal state (completed + failed + cancelled +

@@ -6,7 +6,7 @@
 //! | Method & path              | Purpose                                      |
 //! |----------------------------|----------------------------------------------|
 //! | `POST /v1/jobs`            | Submit a [`SubmitRequest`]; `202` + status   |
-//! | `GET /v1/jobs/{id}`        | Lifecycle snapshot ([`JobStatus`])           |
+//! | `GET /v1/jobs/{id}`        | Lifecycle snapshot ([`JobStatus`]); long-polls under `Prefer: wait=N` |
 //! | `GET /v1/jobs/{id}/report` | Full [`JobReport`] once terminal             |
 //! | `DELETE /v1/jobs/{id}`     | Cancel a queued *or running* job             |
 //! | `GET /healthz`             | Liveness + protocol version                  |
@@ -43,6 +43,17 @@
 //! queued job immediately and a running one cooperatively (`202`, the
 //! job drains to [`JobState::Cancelled`]).
 //!
+//! # Long-polled status
+//!
+//! `GET /v1/jobs/{id}` with `Prefer: wait=<seconds>` is held until the
+//! job reaches a terminal state, the wait runs out, or the server
+//! starts draining (see [`crate::longpoll`]). The hold is capped so the
+//! reply still gets its full write timeout inside
+//! [`ServeConfig::connection_lifetime`] (the write gets at most half the
+//! lifetime), and at most [`MAX_STATUS_WAITERS`](crate::MAX_STATUS_WAITERS)
+//! requests are held at once. Held time is kept out of the HTTP-latency
+//! histogram and recorded in `ecripse_serve_status_wait_seconds`.
+//!
 //! # Graceful shutdown
 //!
 //! [`Server::shutdown`] stops accepting (new submissions get `503`),
@@ -53,6 +64,7 @@
 
 use crate::http::{self, Request, Response};
 use crate::journal::{self, Journal, JournalRecord, RecoveredJob};
+use crate::longpoll::{self, TerminalSignal};
 use crate::protocol::{
     ApiError, EstimateOutcome, Health, JobKind, JobProgress, JobReport, JobSpec, JobState,
     JobStatus, JobTrace, Metrics, Readiness, ScenarioJobCount, SubmitRequest, SweepOutcome,
@@ -284,6 +296,11 @@ struct ServeTelemetry {
     /// Live queue depth, refreshed on every metrics snapshot so the
     /// registry's exposition agrees with the JSON document.
     queue_depth: Gauge,
+    /// Time long-polled status requests spent parked (kept out of
+    /// `http_seconds`, which measures handling only).
+    status_wait_seconds: Histogram,
+    /// Status requests parked right now, refreshed like `queue_depth`.
+    status_waiters: Gauge,
     bridge: TelemetryObserver,
 }
 
@@ -311,6 +328,14 @@ impl ServeTelemetry {
             "Wall-clock duration of the boot-time verdict-store snapshot load",
         );
         let queue_depth = registry.gauge("ecripse_serve_queue_depth", "Jobs waiting in the queue");
+        let status_wait_seconds = registry.histogram(
+            "ecripse_serve_status_wait_seconds",
+            "Time a long-polled status request spent parked",
+        );
+        let status_waiters = registry.gauge(
+            "ecripse_serve_status_waiters",
+            "Long-polled status requests parked right now",
+        );
         let bridge = TelemetryObserver::new(&registry);
         Self {
             registry,
@@ -320,6 +345,8 @@ impl ServeTelemetry {
             journal_replay_seconds,
             verdict_store_load_seconds,
             queue_depth,
+            status_wait_seconds,
+            status_waiters,
             bridge,
         }
     }
@@ -381,6 +408,9 @@ struct Shared<B> {
     frames_replayed: u64,
     state: std::sync::Mutex<QueueState>,
     work_ready: std::sync::Condvar,
+    /// Bumped on every terminal transition; wakes long-polled status
+    /// requests, and closed when draining starts.
+    waits: TerminalSignal,
     counters: Counters,
     oracle_totals: Mutex<OracleStats>,
     /// Smoothed seconds-per-job, feeding the `Retry-After` hint.
@@ -607,6 +637,7 @@ impl<B: SweepBench + 'static> Server<B> {
                 idempotency,
             }),
             work_ready: std::sync::Condvar::new(),
+            waits: TerminalSignal::new(),
             counters: Counters::default(),
             oracle_totals: Mutex::new(OracleStats::default()),
             ewma_job_seconds: Mutex::new(1.0),
@@ -703,6 +734,10 @@ impl<B: SweepBench + 'static> Server<B> {
             }
             (drained, persisted, cancelled)
         };
+        // Parked status requests see the drain's transitions and are
+        // answered now, whatever state their job is in.
+        self.shared.waits.bump();
+        self.shared.waits.close();
         // Journal the drain's terminal transitions outside the state
         // lock (appends fsync). A Persisted record tells the next boot
         // "resume me"; a Cancelled one closes the job for good.
@@ -752,6 +787,7 @@ impl<B: SweepBench + 'static> Drop for Server<B> {
             self.shared.monitor_stop.store(true, Ordering::SeqCst);
             lock_state(&self.shared).draining = true;
             self.shared.work_ready.notify_all();
+            self.shared.waits.close();
         }
     }
 }
@@ -906,6 +942,9 @@ fn deadline_monitor<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
                 }
             }
         }
+        if !expired.is_empty() {
+            shared.waits.bump();
+        }
         for (id, error) in expired {
             journal_terminal(shared, id, JobState::DeadlineExceeded, error);
         }
@@ -971,9 +1010,17 @@ fn handle_connection<B: SweepBench>(mut stream: TcpStream, shared: &Shared<B>) {
     let read_timeout = shared.config.read_timeout.min(lifetime);
     let _ = stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))));
     let started = Instant::now();
-    let response = match http::read_request(&mut stream) {
-        Ok(request) => route(shared, &request),
-        Err(e) => error_response(400, "bad_request", e.to_string()),
+    // A long-polled status request may be held only as long as leaves
+    // the reply its full write timeout (at most half the lifetime)
+    // before the lifetime runs out.
+    let hold_limit = lifetime - shared.config.write_timeout.min(lifetime / 2);
+    let (response, parked) = match http::read_request(&mut stream) {
+        Ok(request) => route(
+            shared,
+            &request,
+            hold_limit.saturating_sub(started.elapsed()),
+        ),
+        Err(e) => (error_response(400, "bad_request", e.to_string()), None),
     };
     let Some(remaining) = lifetime.checked_sub(started.elapsed()) else {
         // Lifetime exhausted before a byte of response: drop the
@@ -987,10 +1034,10 @@ fn handle_connection<B: SweepBench>(mut stream: TcpStream, shared: &Shared<B>) {
         .max(Duration::from_millis(1));
     let _ = stream.set_write_timeout(Some(write_timeout));
     let _ = http::write_response(&mut stream, &response);
-    shared
-        .telemetry
-        .http_seconds
-        .record(started.elapsed().as_secs_f64());
+    // Handling time only: time parked in a long poll has its own
+    // histogram.
+    let handled = started.elapsed().saturating_sub(parked.unwrap_or_default());
+    shared.telemetry.http_seconds.record(handled.as_secs_f64());
 }
 
 fn json_body<T: Serialize>(value: &T) -> String {
@@ -1001,12 +1048,29 @@ fn error_response(status: u16, code: &str, message: impl Into<String>) -> Respon
     Response::json(status, json_body(&ApiError::new(code, message)))
 }
 
-fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
+/// Routes one request. A long-polled status request is held at most
+/// `hold_left`. Returns the response and, for a status request that was
+/// held, how long it was parked.
+fn route<B: SweepBench>(
+    shared: &Shared<B>,
+    request: &Request,
+    hold_left: Duration,
+) -> (Response, Option<Duration>) {
     let path = request.path.trim_end_matches('/');
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (request.method.as_str(), segments.as_slice()) {
+    if let ("GET", ["v1", "jobs", id]) = (request.method.as_str(), segments.as_slice()) {
+        let until = longpoll::requested_wait(request)
+            .and_then(|wait| Instant::now().checked_add(wait.min(hold_left)));
+        let mut parked = None;
+        let response = with_job_id(id, |id| {
+            let (response, held) = status(shared, id, until);
+            parked = held;
+            response
+        });
+        return (response, parked);
+    }
+    let response = match (request.method.as_str(), segments.as_slice()) {
         ("POST", ["v1", "jobs"]) => submit(shared, request),
-        ("GET", ["v1", "jobs", id]) => with_job_id(id, |id| status(shared, id)),
         ("GET", ["v1", "jobs", id, "report"]) => with_job_id(id, |id| report(shared, id)),
         ("GET", ["v1", "jobs", id, "trace"]) => with_job_id(id, |id| trace_document(shared, id)),
         ("DELETE", ["v1", "jobs", id]) => with_job_id(id, |id| cancel(shared, id)),
@@ -1017,7 +1081,8 @@ fn route<B: SweepBench>(shared: &Shared<B>, request: &Request) -> Response {
             error_response(405, "method_not_allowed", "method not allowed on this path")
         }
         _ => error_response(404, "not_found", format!("no such path: {}", request.path)),
-    }
+    };
+    (response, None)
 }
 
 fn with_job_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
@@ -1202,11 +1267,19 @@ fn job_status(state: &QueueState, id: u64) -> Option<JobStatus> {
     })
 }
 
-fn status<B>(shared: &Shared<B>, id: u64) -> Response {
-    match job_status(&lock_state(shared), id) {
-        Some(status) => Response::json(200, json_body(&status)),
-        None => error_response(404, "unknown_job", format!("no job {id}")),
+/// `GET /v1/jobs/{id}`, answered at once or — with `until` — held
+/// until the job is terminal (see [`crate::longpoll`]).
+fn status<B>(shared: &Shared<B>, id: u64, until: Option<Instant>) -> (Response, Option<Duration>) {
+    let (response, parked) = shared
+        .waits
+        .answer_status(id, until, || job_status(&lock_state(shared), id));
+    if let Some(parked) = parked {
+        shared
+            .telemetry
+            .status_wait_seconds
+            .record(parked.as_secs_f64());
     }
+    (response, parked)
 }
 
 fn report<B>(shared: &Shared<B>, id: u64) -> Response {
@@ -1281,6 +1354,7 @@ fn cancel<B>(shared: &Shared<B>, id: u64) -> Response {
                 .fetch_add(1, Ordering::Relaxed);
             let status = job_status(&state, id);
             drop(state);
+            shared.waits.bump();
             journal_terminal(
                 shared,
                 id,
@@ -1360,6 +1434,8 @@ fn collect_metrics<B>(shared: &Shared<B>) -> Metrics {
     // Prometheus exposition (rendered from the registry) and the JSON
     // document always agree on the depth.
     shared.telemetry.queue_depth.set(queue_depth as f64);
+    let status_waiters = shared.waits.parked() as u64;
+    shared.telemetry.status_waiters.set(status_waiters as f64);
     let c = &shared.counters;
     let completed = c.completed.load(Ordering::Relaxed);
     let failed = c.failed.load(Ordering::Relaxed);
@@ -1392,6 +1468,9 @@ fn collect_metrics<B>(shared: &Shared<B>) -> Metrics {
         journal_bytes: shared.journal.as_ref().map_or(0, |j| j.bytes()),
         journal_replay_duration_seconds: shared.journal_replay_seconds,
         verdict_store_load_duration_seconds: shared.verdict_store_load_seconds,
+        status_waiters,
+        status_wait_seconds_count: shared.telemetry.status_wait_seconds.count(),
+        status_wait_seconds_sum: shared.telemetry.status_wait_seconds.sum(),
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         jobs_in_terminal_state: completed + failed + cancelled + deadline_exceeded + persisted,
         scenario_jobs: Scenario::ALL
@@ -1664,6 +1743,7 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
                             .deadline_exceeded
                             .fetch_add(1, Ordering::Relaxed);
                         drop(state);
+                        shared.waits.bump();
                         journal_terminal(shared, id, JobState::DeadlineExceeded, error);
                         state = lock_state(shared);
                         continue;
@@ -1762,6 +1842,7 @@ fn worker_loop<B: SweepBench + 'static>(shared: &Arc<Shared<B>>) {
         }
         drop(state);
         if let Some((state, error)) = terminal {
+            shared.waits.bump();
             journal_terminal(shared, id, state, error);
         }
     }

@@ -1,6 +1,7 @@
 //! Telemetry over the wire: Prometheus exposition on `GET /metrics`
 //! (content negotiation, format validity, agreement with the JSON
-//! document) and live job progress while a sweep is running.
+//! document), live job progress while a sweep is running, and the
+//! long-poll metrics (parked time kept out of HTTP latency).
 
 use ecripse_core::bench::{LinearBench, Testbench};
 use ecripse_core::ecripse::EcripseConfig;
@@ -11,6 +12,8 @@ use ecripse_serve::protocol::{JobSpec, JobState, SubmitRequest};
 use ecripse_serve::{http, Client, ServeConfig, Server};
 use std::collections::HashMap;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(120);
@@ -399,4 +402,117 @@ fn verdict_store_load_is_timed_in_both_metrics_views() {
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bench whose evaluations block until the gate opens.
+#[derive(Clone)]
+struct GateBench {
+    inner: LinearBench,
+    gate: Arc<AtomicBool>,
+}
+
+impl Testbench for GateBench {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn fails(&self, z: &[f64]) -> bool {
+        while !self.gate.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.inner.fails(z)
+    }
+}
+
+impl SweepBench for GateBench {
+    fn sigmas(&self) -> [f64; 6] {
+        SweepBench::sigmas(&self.inner)
+    }
+}
+
+#[test]
+fn long_polled_status_is_timed_apart_from_http_latency() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let bench = GateBench {
+        inner: linear_bench(),
+        gate: Arc::clone(&gate),
+    };
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", config, move |_, _| bench.clone()).expect("bind");
+    let addr = server.local_addr();
+    let client = Client::new(addr.to_string());
+    let request = SubmitRequest::new(tiny_config(7), JobSpec::rdf_only(1.0));
+    let job = client.submit(&request).expect("submit");
+
+    // One status request parked on the gated job.
+    let parked = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        http::write_request_with_headers(
+            &mut stream,
+            "GET",
+            &format!("/v1/jobs/{}", job.id),
+            None,
+            "application/json",
+            &[("Prefer", "wait=30")],
+        )
+        .expect("write");
+        http::read_response(&mut stream).expect("read")
+    });
+    let views = |client: &Client| {
+        let metrics = client.metrics().expect("json metrics");
+        let (scalars, names) =
+            validate_exposition(&client.metrics_prometheus().expect("prometheus"));
+        (metrics, scalars, names)
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let (metrics, scalars, _) = loop {
+        let (metrics, scalars, names) = views(&client);
+        if metrics.status_waiters == 1 {
+            break (metrics, scalars, names);
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the request never parked"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    // The gauge shows the parked request in both views.
+    assert_eq!(metrics.status_waiters, 1);
+    assert_eq!(scalars["ecripse_serve_status_waiters"], 1.0);
+    assert_eq!(metrics.status_wait_seconds_count, 0);
+
+    std::thread::sleep(Duration::from_millis(500));
+    gate.store(true, Ordering::SeqCst);
+    let (status, _, body) = parked.join().expect("parked request");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"completed\""), "{body}");
+
+    let (metrics, scalars, names) = views(&client);
+    assert_eq!(metrics.status_waiters, 0);
+    assert_eq!(scalars["ecripse_serve_status_waiters"], 0.0);
+    for suffix in ["_bucket", "_sum", "_count"] {
+        let name = format!("ecripse_serve_status_wait_seconds{suffix}");
+        assert!(names.contains(&name), "missing {name} in exposition");
+    }
+    assert_eq!(metrics.status_wait_seconds_count, 1);
+    assert_eq!(scalars["ecripse_serve_status_wait_seconds_count"], 1.0);
+    assert_eq!(
+        scalars["ecripse_serve_status_wait_seconds_sum"],
+        metrics.status_wait_seconds_sum
+    );
+    assert!(metrics.status_wait_seconds_sum >= 0.5);
+    // Request handling excludes the parked time: every request this
+    // server answered, the parked one included, took far less in total
+    // than the one park.
+    assert!(scalars["ecripse_serve_http_request_seconds_count"] >= 3.0);
+    assert!(
+        scalars["ecripse_serve_http_request_seconds_sum"] < metrics.status_wait_seconds_sum,
+        "http latency {} includes parked time {}",
+        scalars["ecripse_serve_http_request_seconds_sum"],
+        metrics.status_wait_seconds_sum
+    );
+    server.shutdown();
 }

@@ -341,6 +341,9 @@ proptest! {
             journal_bytes: counts[7],
             journal_replay_duration_seconds: depth as f64 * 0.0625,
             verdict_store_load_duration_seconds: depth as f64 * 0.03125,
+            status_waiters: counts[0] / 3,
+            status_wait_seconds_count: counts[1] / 2,
+            status_wait_seconds_sum: depth as f64 * 0.25,
             uptime_seconds: depth as f64 * 0.125,
             jobs_in_terminal_state: counts[1] + counts[2] + counts[3] + counts[4],
             scenario_jobs: Scenario::ALL
